@@ -208,7 +208,9 @@ let e2_xstream () =
     Mv_xstream.Queues.tandem ~arrival:e2_arrival ~transfer:4.0
       ~service:e2_service ~capacity1:3 ~capacity2:3
   in
-  let perf = Flow.performance ~keep:[ "pop" ] spec in
+  let perf =
+    Flow.Run.performance Flow.Config.(with_keep [ "pop" ] default) spec
+  in
   let numeric = Flow.throughput perf ~gate:"pop" in
   let simulated =
     Mv_sim.Des.throughput perf.Flow.imc ~action:"pop" ~horizon:20_000.0
@@ -245,7 +247,7 @@ let e2_xstream () =
 
 let e3_verification () =
   let check name spec properties =
-    let v = Flow.verify spec properties in
+    let v = Flow.Run.verify Flow.Config.default spec properties in
     List.map
       (fun r ->
          [ name;
@@ -271,7 +273,7 @@ let e3_verification () =
       (Mv_faust.Router.properties ~id:"r")
     @ [ (let spec = Mv_faust.Router.single_packet_spec ~id:"r" ~input:0 ~dest:1 in
          let name, formula = Mv_faust.Router.delivery_property ~id:"r" ~dest:1 in
-         let v = Flow.verify spec [ (name, formula) ] in
+         let v = Flow.Run.verify Flow.Config.default spec [ (name, formula) ] in
          match v.Flow.results with
          | [ r ] ->
            [ "FAUST router (1 packet)";
@@ -541,14 +543,16 @@ let e7_minimization () =
          let spec =
            Mv_xstream.Queues.single ~arrival:2.0 ~service:3.0 ~capacity
          in
-         let perf = Flow.performance ~keep:[ "pop" ] spec in
+         let perf =
+           Flow.Run.performance Flow.Config.(with_keep [ "pop" ] default) spec
+         in
          [ Printf.sprintf "queue capacity %d" capacity;
            string_of_int (Imc.nb_states perf.Flow.imc);
            string_of_int (Imc.nb_states perf.Flow.lumped);
            string_of_int (Ctmc.nb_states perf.Flow.conversion.To_ctmc.ctmc) ])
       [ 4; 8; 16 ]
     @ [ (let perf =
-           Flow.performance ~keep:[ "done" ]
+           Flow.Run.performance Flow.Config.(with_keep [ "done" ] default)
              (Mv_xstream.Queues.dual_server ~arrival:3.0 ~service:2.0)
          in
          [ "2 identical engines (symmetry)";
@@ -627,14 +631,22 @@ let e8_scaling () =
   in
   let tasks =
     [ ("FAME2 MSI directory: generate",
-       fun pool () -> ignore (Flow.generate ?pool fame_spec));
+       fun pool () ->
+         ignore (Flow.Run.generate
+                   Flow.Config.(with_pool pool default)
+                   fame_spec));
       ("FAUST 2x2 mesh: generate + branching min.",
        fun pool () ->
          ignore (Mv_bisim.Branching.minimize ?pool
-                   (Flow.generate ?pool faust_spec)));
+                   (Flow.Run.generate Flow.Config.(with_pool pool default)
+                      faust_spec)));
       ("xSTream tandem: performance solve",
        fun pool () ->
-         let perf = Flow.performance ?pool ~keep:[ "pop" ] queue_spec in
+         let perf =
+           Flow.Run.performance
+             Flow.Config.(default |> with_pool pool |> with_keep [ "pop" ])
+             queue_spec
+         in
          ignore (Flow.throughputs perf)) ]
   in
   let rows =
@@ -679,7 +691,7 @@ let bechamel_kernels () =
               (Mv_xstream.Queues.single ~arrival:2.0 ~service:3.0 ~capacity:4)
               ~capacity:4);
         kernel "e3:router-verification" (fun () ->
-            Flow.verify
+            Flow.Run.verify Flow.Config.default
               (Mv_faust.Router.closed_spec ~id:"b")
               (Mv_faust.Router.properties ~id:"b"));
         kernel "e4:erlang-32-passage" (fun () ->
@@ -873,7 +885,7 @@ let e10_kernels () =
     (List.rev !rows);
   (* solver kernels on the xSTream tandem steady-state *)
   let perf =
-    Flow.performance ~keep:[ "pop" ]
+    Flow.Run.performance Flow.Config.(with_keep [ "pop" ] default)
       (Mv_xstream.Queues.tandem ~arrival:e2_arrival ~transfer:4.0
          ~service:e2_service ~capacity1:12 ~capacity2:12)
   in

@@ -10,11 +10,9 @@
    mval cache     stats|gc|clear             artifact-cache maintenance *)
 
 module Lts = Mv_lts.Lts
-module Aut = Mv_lts.Aut
 module Mvb = Mv_store.Mvb
 module Cache = Mv_store.Cache
 module Flow = Mv_core.Flow
-module Budget = Mv_core.Budget
 module Json = Mv_obs.Json
 module Obs = Mv_obs.Obs
 module Log = Mv_obs.Log
@@ -29,14 +27,11 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Load an LTS from an .aut or .mvb file, or by generating an MVL
-   model (memoized through the cache when one is given). *)
-let load_lts ?pool ?max_states ?cache ?budget ?expect path =
-  if Filename.check_suffix path ".aut" then Aut.of_string (read_file path)
-  else if Filename.check_suffix path ".mvb" then Mvb.read_file path
-  else
-    Flow.Run.generate
-      { Flow.Config.default with pool; max_states; cache; budget; expect }
-      (Flow.model_of_text (read_file path))
+   model (for the local-only commands: trace, simulate, info). *)
+let load_lts ?pool ~max_states path =
+  Ops.load
+    { Flow.Config.default with pool; max_states = Some max_states }
+    (Ops.model_of_path path)
 
 (* Run [f] with the pool requested by -j: none for -j 1 (fully
    sequential), one worker domain per core for -j 0. Every command
@@ -49,15 +44,6 @@ let with_jobs jobs f =
     Fun.protect
       ~finally:(fun () -> Mv_par.Pool.shutdown pool)
       (fun () -> f (Some pool))
-
-let write_lts output lts =
-  match output with
-  | None -> print_string (Aut.to_string lts)
-  | Some path ->
-    if Filename.check_suffix path ".mvb" then Mvb.write_file path lts
-    else Aut.write_file path lts;
-    Printf.printf "wrote %s (%d states, %d transitions)\n" path
-      (Lts.nb_states lts) (Lts.nb_transitions lts)
 
 (* One error table for the whole flow (Ops.classify is also what the
    daemon uses to build structured errors, so a budget or state-bound
@@ -72,8 +58,7 @@ let handle_errors f =
       exit code
     | None -> raise exn)
 
-(* Rendered command output (from the shared renderers in Mv_serve.Ops,
-   or shipped back by a daemon): print it and adopt its exit code. *)
+(* Rendered command output: print it and adopt its exit code. *)
 let print_texts (t : Ops.texts) =
   print_string t.Ops.out;
   prerr_string t.Ops.err;
@@ -98,7 +83,7 @@ let current_request_id () =
     remote_request_id := Some rid;
     rid
 
-let remote_call addr_text ~op ?budget args =
+let remote_execute addr_text ?budget request =
   match Proto.addr_of_string addr_text with
   | Error msg ->
     prerr_endline ("bad --remote address: " ^ msg);
@@ -108,6 +93,8 @@ let remote_call addr_text ~op ?budget args =
     let trace =
       { Proto.request_id = rid; collect_spans = !remote_collect_spans }
     in
+    let op = Ops.op_name request in
+    let args = Ops.request_to_json request in
     try
       Obs.with_request rid (fun () ->
           Obs.span "remote.call"
@@ -118,60 +105,11 @@ let remote_call addr_text ~op ?budget args =
                    (* daemon-side spans land in the local registry
                       under the remote trace lane (pid 2); the at_exit
                       --trace writer then emits one merged trace *)
-                   (match response.Proto.trace with
-                    | Some spans -> Obs.ingest_spans spans
-                    | None -> ());
-                   response)))
+                   Option.iter Obs.ingest_spans response.Proto.trace;
+                   Ops.outcome_of_response request response)))
     with Client.Error msg ->
       prerr_endline ("remote: " ^ msg);
       exit 70)
-
-let remote_result (response : Proto.response) =
-  match response.Proto.outcome with
-  | Ok result -> result
-  | Error { Proto.kind; message } ->
-    prerr_endline message;
-    exit (Ops.exit_code_of_kind kind)
-
-let finish_remote response = print_texts (Ops.texts_of_json (remote_result response))
-
-(* A model file as a protocol payload: MVL sources travel as text and
-   are generated daemon-side (hitting its cache); .aut travels
-   verbatim; .mvb is converted to .aut text (the wire format is JSON,
-   not binary) — the round-trip is exact. *)
-let model_payload path =
-  let kind, text =
-    if Filename.check_suffix path ".aut" then ("aut", read_file path)
-    else if Filename.check_suffix path ".mvb" then
-      ("aut", Aut.to_string (Mvb.read_file path))
-    else ("mvl", read_file path)
-  in
-  Json.Obj [ ("kind", Json.String kind); ("text", Json.String text) ]
-
-(* The daemon answers generate/minimize with the .aut artifact text;
-   writing it back through the same Aut/Mvb writers a local run uses
-   keeps the on-disk result byte-identical. *)
-let remote_write_lts output result =
-  match Json.member "artifact" result with
-  | Some (Json.String artifact) -> (
-    match output with
-    | None -> print_string artifact
-    | Some path ->
-      let lts = Aut.of_string artifact in
-      if Filename.check_suffix path ".mvb" then Mvb.write_file path lts
-      else Aut.write_file path lts;
-      Printf.printf "wrote %s (%d states, %d transitions)\n" path
-        (Lts.nb_states lts) (Lts.nb_transitions lts))
-  | _ ->
-    prerr_endline "remote: malformed response (missing artifact)";
-    exit 70
-
-let int_result name result =
-  match Json.member name result with
-  | Some (Json.Int n) -> n
-  | _ ->
-    prerr_endline (Printf.sprintf "remote: malformed response (missing %s)" name);
-    exit 70
 
 module Lint = Mv_lint.Lint
 module Diagnostic = Mv_lint.Diagnostic
@@ -309,12 +247,7 @@ let max_states_arg =
 let equivalence_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("strong", Flow.Strong); ("branching", Flow.Branching);
-             ("divbranching", Flow.Divbranching); ("weak", Flow.Weak);
-             ("traces", Flow.Traces) ])
-        Flow.Branching
+    & opt (enum Ops.equivalences) Flow.Branching
     & info [ "e"; "equivalence" ] ~docv:"EQ"
         ~doc:"Equivalence: $(b,strong), $(b,branching), \
               $(b,divbranching) (divergence-sensitive), $(b,weak) or \
@@ -396,18 +329,34 @@ let budget_wall_arg =
 
 let budget_term =
   Term.(
-    const (fun states wall -> (states, wall))
+    const (fun states wall ->
+        if states = None && wall = None then None
+        else Some { Proto.max_states = states; wall_s = wall })
     $ budget_states_arg $ budget_wall_arg)
 
-let budget_spec (states, wall) =
-  if states = None && wall = None then None
-  else Some { Proto.max_states = states; wall_s = wall }
-
-let local_budget (states, wall) =
-  if states = None && wall = None then None
-  else Some (Budget.create ?max_states:states ?wall_s:wall ())
-
-let strings_json items = Json.List (List.map (fun s -> Json.String s) items)
+(* The one command path: validate the request (usage errors exit 2
+   before any file is opened), lint the .mvl sources it reads, run it
+   in-process or on the daemon, and print the outcome through the one
+   printer. [daemon] is the --remote address: local and remote
+   execution differ only in the [match] on it. *)
+let run_request ?(jobs = 1) ?cache ?budget ?(residency = Ops.in_ram) ?output
+    ?(no_lint = false) ?(lint = []) daemon request =
+  handle_errors @@ fun () ->
+  let outcome =
+    match Ops.validate ~remote:(daemon <> None) ~residency ?output request with
+    | Error _ as usage -> usage
+    | Ok () -> (
+      lint_gate ~no_lint lint;
+      match daemon with
+      | Some addr -> remote_execute addr ?budget request
+      | None ->
+        let cache = open_cache cache in
+        with_jobs jobs (fun pool ->
+            Ops.execute ?cache ?pool
+              ?budget:(Option.map Ops.budget_of_spec budget)
+              ~residency ?output request))
+  in
+  print_texts (Ops.render ?output outcome)
 
 (* ---- out-of-core / planning options ---- *)
 
@@ -421,8 +370,9 @@ let ooc_arg =
            spills to sorted runs on disk past the memory budget) and \
            $(b,minimize) refines over the mmap'd input without loading \
            it. Requires .mvb paths ($(b,-o) for generate; input and \
-           $(b,-o) for minimize). The bytes produced are identical to \
-           the in-RAM pipeline's.")
+           $(b,-o) for minimize) and, for minimize, $(b,-e strong). The \
+           bytes produced are identical to the in-RAM pipeline's. Not \
+           available with $(b,--remote).")
 
 let mem_budget_arg =
   Arg.(
@@ -444,6 +394,12 @@ let scratch_arg =
           "Directory for $(b,--out-of-core) spill runs and mmap \
            scratch (default: the output file's directory). Scratch is \
            removed on exit, also on failure.")
+
+let residency_term =
+  Term.(
+    const (fun out_of_core mem_budget_mb scratch_dir ->
+        { Ops.out_of_core; mem_budget_mb; scratch_dir })
+    $ ooc_arg $ mem_budget_arg $ scratch_arg)
 
 let expect_arg =
   Arg.(
@@ -470,7 +426,7 @@ let compositional_arg =
 let plan_arg =
   Arg.(
     value
-    & opt (enum [ ("naive", `Naive); ("greedy", `Greedy) ]) `Greedy
+    & opt (enum Ops.plans) `Greedy
     & info [ "plan" ] ~docv:"PLAN"
         ~doc:
           "Composition order for $(b,--compositional): $(b,naive) \
@@ -482,178 +438,49 @@ let plan_arg =
 (* ---- generate ---- *)
 
 let generate_cmd =
-  let run () model output max_states hide jobs no_lint cache remote budget ooc
-      mem_budget scratch expect compositional plan =
-    handle_errors (fun () ->
-        lint_gate ~no_lint [ model ];
-        match remote with
-        | Some addr ->
-          let result =
-            remote_result
-              (remote_call addr ~op:"generate" ?budget:(budget_spec budget)
-                 (Json.Obj
-                    [
-                      ("model", model_payload model);
-                      ("max_states", Json.Int max_states);
-                      ("hide", strings_json hide);
-                    ]))
-          in
-          remote_write_lts output result
-        | None ->
-          let cache = open_cache cache in
-          with_jobs jobs (fun pool ->
-              let config =
-                { Flow.Config.default with
-                  pool;
-                  max_states = Some max_states;
-                  cache;
-                  budget = local_budget budget;
-                  out_of_core = ooc;
-                  mem_budget_mb = mem_budget;
-                  scratch_dir = scratch;
-                  expect;
-                  compose_plan = plan;
-                }
-              in
-              if ooc then begin
-                let out =
-                  match output with
-                  | Some path when Filename.check_suffix path ".mvb" -> path
-                  | _ ->
-                    prerr_endline "--out-of-core needs -o FILE.mvb";
-                    exit 2
-                in
-                if hide <> [] || compositional then begin
-                  prerr_endline
-                    "--out-of-core generation streams the plain state \
-                     space; it cannot be combined with --hide or \
-                     --compositional";
-                  exit 2
-                end;
-                let spec = Flow.model_of_text (read_file model) in
-                let o = Flow.Run.generate_mvb config spec ~out in
-                Printf.printf "wrote %s (%d states, %d transitions)\n" out
-                  o.Mv_lts.Explore.ooc_states o.Mv_lts.Explore.ooc_transitions
-              end
-              else if compositional then begin
-                let spec = Flow.model_of_text (read_file model) in
-                let report = Flow.Run.generate_compositional config spec in
-                Printf.eprintf "compositional: %d steps, peak %d states\n"
-                  (List.length report.Mv_compose.Net.steps)
-                  report.Mv_compose.Net.peak_states;
-                let lts = report.Mv_compose.Net.result in
-                let lts =
-                  if hide = [] then lts else Lts.hide lts ~gates:hide
-                in
-                write_lts output lts
-              end
-              else
-                let lts =
-                  load_lts ?pool ~max_states ?cache
-                    ?budget:(local_budget budget) ?expect model
-                in
-                let lts =
-                  if hide = [] then lts else Lts.hide lts ~gates:hide
-                in
-                write_lts output lts))
+  let run () model output max_states hide jobs no_lint cache remote budget
+      residency expect compositional plan =
+    run_request ~jobs ?cache ?budget ~residency ?output ~no_lint
+      ~lint:[ model ] remote
+      (Ops.Generate
+         {
+           model = Ops.model_of_path model;
+           max_states;
+           hide;
+           compositional;
+           plan;
+           expect;
+         })
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate the state space of an MVL model")
     Term.(
       const run $ obs_term $ model_arg $ output_arg $ max_states_arg $ hide_arg
-      $ jobs_arg $ no_lint_arg $ cache_arg $ remote_arg $ budget_term $ ooc_arg
-      $ mem_budget_arg $ scratch_arg $ expect_arg $ compositional_arg
-      $ plan_arg)
+      $ jobs_arg $ no_lint_arg $ cache_arg $ remote_arg $ budget_term
+      $ residency_term $ expect_arg $ compositional_arg $ plan_arg)
 
 (* ---- minimize ---- *)
 
 let minimize_cmd =
   let run () model output max_states equivalence hide jobs no_lint cache remote
-      budget ooc mem_budget scratch expect =
-    handle_errors (fun () ->
-        lint_gate ~no_lint [ model ];
-        match remote with
-        | Some addr ->
-          let result =
-            remote_result
-              (remote_call addr ~op:"minimize" ?budget:(budget_spec budget)
-                 (Json.Obj
-                    [
-                      ("model", model_payload model);
-                      ( "equivalence",
-                        Json.String (Flow.equivalence_name equivalence) );
-                      ("max_states", Json.Int max_states);
-                      ("hide", strings_json hide);
-                    ]))
-          in
-          prerr_string
-            (Ops.minimize_note
-               ~before:(int_result "states_before" result)
-               ~after:(int_result "states" result));
-          remote_write_lts output result
-        | None ->
-          let cache = open_cache cache in
-          with_jobs jobs (fun pool ->
-              let budget = local_budget budget in
-              if ooc then begin
-                if not (Filename.check_suffix model ".mvb") then begin
-                  prerr_endline "--out-of-core minimization reads a .mvb file";
-                  exit 2
-                end;
-                let dst =
-                  match output with
-                  | Some path when Filename.check_suffix path ".mvb" -> path
-                  | _ ->
-                    prerr_endline "--out-of-core needs -o FILE.mvb";
-                    exit 2
-                in
-                if hide <> [] then begin
-                  prerr_endline "--out-of-core does not support --hide";
-                  exit 2
-                end;
-                let config =
-                  { Flow.Config.default with
-                    pool;
-                    cache;
-                    budget;
-                    out_of_core = true;
-                    mem_budget_mb = mem_budget;
-                    scratch_dir = scratch;
-                  }
-                in
-                let before = (Mvb.stats model).Mvb.s_nb_states in
-                let minimized =
-                  Flow.Run.minimize_mvb config equivalence ~src:model ~dst
-                in
-                prerr_string
-                  (Ops.minimize_note ~before ~after:(Lts.nb_states minimized));
-                Printf.printf "wrote %s (%d states, %d transitions)\n" dst
-                  (Lts.nb_states minimized) (Lts.nb_transitions minimized)
-              end
-              else
-                let lts =
-                  load_lts ?pool ~max_states ?cache ?budget ?expect model
-                in
-                let lts =
-                  if hide = [] then lts else Lts.hide lts ~gates:hide
-                in
-                let minimized =
-                  Flow.Run.minimize
-                    { Flow.Config.default with pool; cache; budget }
-                    equivalence lts
-                in
-                prerr_string
-                  (Ops.minimize_note ~before:(Lts.nb_states lts)
-                     ~after:(Lts.nb_states minimized));
-                write_lts output minimized))
+      budget residency expect =
+    run_request ~jobs ?cache ?budget ~residency ?output ~no_lint
+      ~lint:[ model ] remote
+      (Ops.Minimize
+         {
+           model = Ops.model_of_path model;
+           equivalence;
+           max_states;
+           hide;
+           expect;
+         })
   in
   Cmd.v
     (Cmd.info "minimize" ~doc:"Minimize modulo strong or branching bisimulation")
     Term.(
       const run $ obs_term $ model_arg $ output_arg $ max_states_arg
       $ equivalence_arg $ hide_arg $ jobs_arg $ no_lint_arg $ cache_arg
-      $ remote_arg $ budget_term $ ooc_arg $ mem_budget_arg $ scratch_arg
-      $ expect_arg)
+      $ remote_arg $ budget_term $ residency_term $ expect_arg)
 
 (* ---- compare ---- *)
 
@@ -665,29 +492,14 @@ let compare_cmd =
       & info [] ~docv:"MODEL2" ~doc:"Second model.")
   in
   let run () a b max_states equivalence jobs cache remote budget =
-    handle_errors (fun () ->
-        match remote with
-        | Some addr ->
-          finish_remote
-            (remote_call addr ~op:"equivalent" ?budget:(budget_spec budget)
-               (Json.Obj
-                  [
-                    ("a", model_payload a);
-                    ("b", model_payload b);
-                    ( "equivalence",
-                      Json.String (Flow.equivalence_name equivalence) );
-                    ("max_states", Json.Int max_states);
-                  ]))
-        | None ->
-          let cache = open_cache cache in
-          with_jobs jobs (fun pool ->
-              let budget = local_budget budget in
-              let la = load_lts ?pool ~max_states ?cache ?budget a
-              and lb = load_lts ?pool ~max_states ?cache ?budget b in
-              print_texts
-                (Ops.compare_texts
-                   { Flow.Config.default with pool; budget }
-                   equivalence la lb)))
+    run_request ~jobs ?cache ?budget remote
+      (Ops.Equivalent
+         {
+           a = Ops.model_of_path a;
+           b = Ops.model_of_path b;
+           equivalence;
+           max_states;
+         })
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Check two models for bisimulation equivalence")
@@ -712,36 +524,22 @@ let check_cmd =
   let engine_arg =
     Arg.(
       value
-      & opt (enum [ ("fixpoint", `Fixpoint); ("bes", `Bes) ]) `Fixpoint
+      & opt (enum Ops.engines) `Fixpoint
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Evaluation engine: direct $(b,fixpoint) iteration or a \
              $(b,bes) (boolean equation system) translation.")
   in
   let run () model max_states formulas deadlock engine no_lint remote budget =
-    handle_errors (fun () ->
-        lint_gate ~no_lint [ model ];
-        match remote with
-        | Some addr ->
-          finish_remote
-            (remote_call addr ~op:"check" ?budget:(budget_spec budget)
-               (Json.Obj
-                  [
-                    ("model", model_payload model);
-                    ("max_states", Json.Int max_states);
-                    ("formulas", strings_json formulas);
-                    ("deadlock", Json.Bool deadlock);
-                    ( "engine",
-                      Json.String
-                        (match engine with
-                         | `Fixpoint -> "fixpoint"
-                         | `Bes -> "bes") );
-                  ]))
-        | None ->
-          let lts =
-            load_lts ~max_states ?budget:(local_budget budget) model
-          in
-          print_texts (Ops.check_texts ~engine ~deadlock ~formulas lts))
+    run_request ?budget ~no_lint ~lint:[ model ] remote
+      (Ops.Check
+         {
+           model = Ops.model_of_path model;
+           max_states;
+           formulas;
+           deadlock;
+           engine;
+         })
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Model-check mu-calculus formulas")
@@ -769,8 +567,7 @@ let solve_cmd =
   let scheduler_arg =
     Arg.(
       value
-      & opt (enum [ ("uniform", Mv_imc.To_ctmc.Uniform); ("fail", Mv_imc.To_ctmc.Fail) ])
-          Mv_imc.To_ctmc.Uniform
+      & opt (enum Ops.schedulers) `Uniform
       & info [ "scheduler" ] ~docv:"S"
           ~doc:
             "Resolution of nondeterministic immediate choices: \
@@ -789,72 +586,18 @@ let solve_cmd =
              or $(b,jacobi) (damped; kept as a cross-check). All methods \
              agree within the solver tolerance.")
   in
-  let run () model max_states keep first scheduler method_ jobs no_lint cache
-      remote budget =
-    handle_errors (fun () ->
-        let solve_method =
-          match method_ with
-          | None -> None
-          | Some name -> (
-            match Mv_kern.Solver.method_of_name name with
-            | Some m -> Some m
-            | None ->
-              prerr_endline
-                (Diagnostic.render
-                   {
-                     Diagnostic.code = "CLI001";
-                     severity = Diagnostic.Error;
-                     line = None;
-                     message =
-                       Printf.sprintf
-                         "unknown solve method %S (expected jacobi, gs, \
-                          gauss-seidel or sor)"
-                         name;
-                   });
-              exit 2)
-        in
-        lint_gate ~no_lint [ model ];
-        match remote with
-        | Some addr ->
-          finish_remote
-            (remote_call addr ~op:"solve" ?budget:(budget_spec budget)
-               (Json.Obj
-                  ([
-                     ("model", Json.String (read_file model));
-                     ("max_states", Json.Int max_states);
-                     ("keep", strings_json keep);
-                     ( "scheduler",
-                       Json.String
-                         (match scheduler with
-                          | Mv_imc.To_ctmc.Uniform -> "uniform"
-                          | Mv_imc.To_ctmc.Fail -> "fail"
-                          (* not constructible from the CLI enum *)
-                          | Mv_imc.To_ctmc.Deterministic _ -> assert false) );
-                   ]
-                   @ (match method_ with
-                      | Some m -> [ ("method", Json.String m) ]
-                      | None -> [])
-                   @
-                   match first with
-                   | Some gate -> [ ("time_to_first", Json.String gate) ]
-                   | None -> [])))
-        | None ->
-          let cache = open_cache cache in
-          with_jobs jobs (fun pool ->
-              let spec = Flow.model_of_text (read_file model) in
-              let config =
-                {
-                  Flow.Config.default with
-                  pool;
-                  max_states = Some max_states;
-                  keep;
-                  scheduler;
-                  cache;
-                  solve_method;
-                  budget = local_budget budget;
-                }
-              in
-              print_texts (Ops.solve_texts config ~first spec)))
+  let run () model max_states keep time_to_first scheduler method_ jobs no_lint
+      cache remote budget =
+    run_request ~jobs ?cache ?budget ~no_lint ~lint:[ model ] remote
+      (Ops.Solve
+         {
+           model = Ops.File model;
+           max_states;
+           keep;
+           scheduler;
+           method_;
+           time_to_first;
+         })
   in
   Cmd.v
     (Cmd.info "solve"
@@ -937,34 +680,13 @@ let script_cmd =
              instead of the human-readable table.")
   in
   let run () model no_lint cache json remote =
-    handle_errors (fun () ->
-        (* classified to "script parse error: ..." (exit 2) when the
-           script itself does not parse *)
-        let sources = Mv_core.Svl.model_sources_of_file model in
-        lint_gate ~no_lint sources;
-        match remote with
-        | Some addr ->
-          (* ship the referenced .mvl sources along (flat names only —
-             the daemon materializes them in a scratch directory) *)
-          let files =
-            List.map
-              (fun path -> (Filename.basename path, Json.String (read_file path)))
-              sources
-          in
-          finish_remote
-            (remote_call addr ~op:"script"
-               (Json.Obj
-                  [
-                    ("script", Json.String (read_file model));
-                    ("files", Json.Obj files);
-                    ("json", Json.Bool json);
-                  ]))
-        | None ->
-          let cache = open_cache cache in
-          print_texts
-            (Ops.script_texts ?cache
-               ~dir:(Filename.dirname model)
-               ~json (read_file model)))
+    (* classified to "script parse error: ..." (exit 2) when the
+       script itself does not parse *)
+    handle_errors @@ fun () ->
+    run_request ?cache ~no_lint
+      ~lint:(Mv_core.Svl.model_sources_of_file model)
+      remote
+      (Ops.Script { script = Ops.File model; files = []; json })
   in
   Cmd.v
     (Cmd.info "script" ~doc:"Run an SVL-style verification script")
@@ -1186,27 +908,8 @@ let lint_cmd =
     ]
   in
   let run model json warn max_phases remote =
-    handle_errors (fun () ->
-        match Ops.lint_config_of_specs ~max_phases warn with
-        | Error msg ->
-          prerr_endline msg;
-          exit 2
-        | Ok config -> (
-          match remote with
-          | Some addr ->
-            finish_remote
-              (remote_call addr ~op:"lint"
-                 (Json.Obj
-                    [
-                      ("model", Json.String (read_file model));
-                      ("file", Json.String model);
-                      ("json", Json.Bool json);
-                      ("warn", strings_json warn);
-                      ("max_phases", Json.Int max_phases);
-                    ]))
-          | None ->
-            print_texts
-              (Ops.lint_texts ~config ~json ~file:model (read_file model))))
+    run_request remote
+      (Ops.Lint { model = Ops.File model; file = model; json; warn; max_phases })
   in
   Cmd.v
     (Cmd.info "lint" ~doc:"Statically analyse an MVL model" ~exits ~man)
@@ -1264,7 +967,7 @@ let info_cmd =
 let cache_cmd =
   let require_cache dir =
     match dir with
-    | Some dir -> Cache.open_dir dir
+    | Some dir -> dir
     | None ->
       prerr_endline "no cache directory (use --cache DIR or MVAL_CACHE)";
       exit 2
@@ -1277,15 +980,8 @@ let cache_cmd =
             ~doc:"Print the statistics as JSON (schema $(b,mv-store-stats-v1)).")
     in
     let run dir json remote =
-      handle_errors (fun () ->
-          match remote with
-          | Some addr ->
-            finish_remote
-              (remote_call addr ~op:"cache-stats"
-                 (Json.Obj [ ("json", Json.Bool json) ]))
-          | None ->
-            let cache = require_cache dir in
-            print_texts (Ops.cache_stats_texts ~json cache))
+      let dir = if remote = None then Some (require_cache dir) else None in
+      run_request ?cache:dir remote (Ops.Cache_stats { json })
     in
     Cmd.v
       (Cmd.info "stats" ~doc:"Print entry count, size and hit/miss totals")
@@ -1301,7 +997,7 @@ let cache_cmd =
     in
     let run dir max_bytes =
       handle_errors (fun () ->
-          let cache = require_cache dir in
+          let cache = Cache.open_dir (require_cache dir) in
           let evicted = Cache.gc ?max_bytes cache in
           Printf.printf "evicted %d entr%s\n" evicted
             (if evicted = 1 then "y" else "ies"))
@@ -1314,7 +1010,7 @@ let cache_cmd =
   let clear_cmd =
     let run dir =
       handle_errors (fun () ->
-          let cache = require_cache dir in
+          let cache = Cache.open_dir (require_cache dir) in
           let removed = Cache.clear cache in
           Printf.printf "removed %d entr%s\n" removed
             (if removed = 1 then "y" else "ies"))
@@ -1338,16 +1034,7 @@ let version_cmd =
       & info [ "json" ]
           ~doc:"Print the version report as JSON instead of aligned text.")
   in
-  let run json remote =
-    handle_errors (fun () ->
-        match remote with
-        | Some addr ->
-          let versions =
-            remote_result (remote_call addr ~op:"version" (Json.Obj []))
-          in
-          print_texts (Ops.version_texts_of_json ~json versions)
-        | None -> print_texts (Ops.version_texts ~json))
-  in
+  let run json remote = run_request remote (Ops.Version { json }) in
   Cmd.v
     (Cmd.info "version"
        ~doc:

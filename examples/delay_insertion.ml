@@ -41,7 +41,11 @@ let () =
   let rows =
     List.map
       (fun (name, distribution) ->
-         let perf = Flow.performance ~keep:[ "done" ] (model_with distribution) in
+         let perf =
+           Flow.Run.performance
+             Flow.Config.(with_keep [ "done" ] default)
+             (model_with distribution)
+         in
          [ name;
            string_of_int (Phase.nb_phases distribution);
            Report.float_cell (Phase.mean distribution);
@@ -67,7 +71,9 @@ let () =
       (fun phases ->
          let distribution = Phase.erlang_of_deterministic ~phases ~delay in
          let perf =
-           Flow.performance ~keep:[ "done" ] (model_with distribution)
+           Flow.Run.performance
+             Flow.Config.(with_keep [ "done" ] default)
+             (model_with distribution)
          in
          let ctmc_states =
            Mv_markov.Ctmc.nb_states perf.Flow.conversion.Mv_imc.To_ctmc.ctmc

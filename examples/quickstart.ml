@@ -25,7 +25,7 @@ let () =
   (* 2. Functional verification: generate the state space, minimize it,
      check temporal properties. *)
   let verification =
-    Flow.verify ~hide:[ "put" ] model
+    Flow.Run.verify Flow.Config.(with_hide [ "put" ] default) model
       [
         ("no deadlock", Formula.Macro.deadlock_free);
         ( "every put is eventually followed by a get",
@@ -46,7 +46,9 @@ let () =
 
   (* 3. Performance evaluation: same model, stochastic pipeline.
      The [get] gate stays visible so its throughput can be queried. *)
-  let perf = Flow.performance ~keep:[ "get" ] model in
+  let perf =
+    Flow.Run.performance Flow.Config.(with_keep [ "get" ] default) model
+  in
   let throughput = Flow.throughput perf ~gate:"get" in
   Printf.printf "\nthroughput(get)        = %.4f jobs/s\n" throughput;
   Printf.printf "mean time to first get = %.4f s\n"

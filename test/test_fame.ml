@@ -327,13 +327,15 @@ let test_program_validation () =
 
 let test_distributed_correct () =
   let v =
-    Flow.verify (Distributed.spec Distributed.Correct) Distributed.properties
+    Flow.Run.verify
+      Flow.Config.default
+      (Distributed.spec Distributed.Correct) Distributed.properties
   in
   Alcotest.(check bool) "all properties hold" true (Flow.all_hold v)
 
 let test_grant_before_ack_caught () =
   let v =
-    Flow.verify
+    Flow.Run.verify Flow.Config.default
       (Distributed.spec Distributed.Grant_before_ack)
       [ Distributed.coherence ]
   in
@@ -351,7 +353,7 @@ let test_grant_before_ack_caught () =
 
 let test_distributed_bug_caught () =
   let v =
-    Flow.verify
+    Flow.Run.verify Flow.Config.default
       (Distributed.spec Distributed.Dropped_invalidation)
       [ Distributed.coherence ]
   in

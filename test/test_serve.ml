@@ -525,6 +525,240 @@ let test_server_metrics () =
   | Some (Json.Obj _) -> ()
   | _ -> Alcotest.fail "metrics response lacks the mv-obs snapshot"
 
+let contains haystack needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || scan (i + 1))
+  in
+  scan 0
+
+(* ------------------------------------------------------------------ *)
+(* One command path: local = remote                                    *)
+
+(* What mval does with a request: validate it, then execute it
+   in-process or send it to a daemon, and render the outcome. *)
+let run_via ?budget ?(residency = Ops.in_ram) ?output via request =
+  let remote = match via with `Local -> false | `Remote _ -> true in
+  Ops.render ?output
+    (match Ops.validate ~remote ~residency ?output request with
+     | Error _ as usage -> usage
+     | Ok () -> (
+       match via with
+       | `Local ->
+         Ops.execute
+           ?budget:(Option.map Ops.budget_of_spec budget)
+           ~residency ?output request
+       | `Remote client ->
+         Ops.outcome_of_response request
+           (Client.call client ~op:(Ops.op_name request) ?budget
+              (Ops.request_to_json request))))
+
+let generate ?(max_states = 1_000_000) ?(hide = []) ?(compositional = false)
+    ?(plan = `Greedy) model =
+  Ops.Generate
+    { model; max_states; hide; compositional; plan; expect = None }
+
+let minimize ?(hide = []) equivalence model =
+  Ops.Minimize
+    { model; equivalence; max_states = 1_000_000; hide; expect = None }
+
+let check ?(formulas = []) ?(deadlock = false) ?(engine = `Fixpoint) model =
+  Ops.Check { model; max_states = 1_000_000; formulas; deadlock; engine }
+
+let solve ?method_ ?time_to_first path =
+  Ops.Solve
+    {
+      model = Ops.File path;
+      max_states = 1_000_000;
+      keep = [ "pop" ];
+      scheduler = `Uniform;
+      method_;
+      time_to_first;
+    }
+
+let lint ?(json = false) ?(warn = []) path =
+  Ops.Lint
+    {
+      model = Ops.File path;
+      file = path;
+      json;
+      warn;
+      max_phases = Mv_lint.Lint.default_config.Mv_lint.Lint.max_phase_product;
+    }
+
+let check_texts name (expected : Ops.texts) (got : Ops.texts) =
+  Alcotest.(check string) (name ^ ": stdout") expected.Ops.out got.Ops.out;
+  Alcotest.(check string) (name ^ ": stderr") expected.Ops.err got.Ops.err;
+  Alcotest.(check int) (name ^ ": exit code") expected.Ops.code got.Ops.code
+
+let test_local_equals_remote () =
+  in_sandbox @@ fun dir ->
+  let path name = Filename.concat dir name in
+  let write name text =
+    Out_channel.with_open_bin (path name) (fun oc ->
+        Out_channel.output_string oc text)
+  in
+  write "q.mvl" (mm1_text ~capacity:3);
+  write "s.svl"
+    {|"q.aut" = generate "q.mvl" ;
+"min.aut" = branching reduction of "q.aut" ;
+check deadlock of "q.aut" ;
+solve "q.mvl" keep pop ;
+|};
+  let q = Ops.model_of_path (path "q.mvl") in
+  let mvb = path "q.mvb" in
+  ignore (run_via `Local ~output:mvb (generate q));
+  let mvb = Ops.model_of_path mvb in
+  (* (name, budget, request, exit code, a fragment of stdout or stderr) *)
+  let rows =
+    [
+      ("generate", None, generate q, 0, "des (0, ");
+      ("generate --hide", None, generate ~hide:[ "push" ] q, 0, "\"i\"");
+      ( "generate --compositional",
+        None,
+        generate ~compositional:true q,
+        0,
+        "compositional: " );
+      ( "generate --compositional --plan naive",
+        None,
+        generate ~compositional:true ~plan:`Naive q,
+        0,
+        "compositional: " );
+      ( "generate --max-states 5",
+        None,
+        generate ~max_states:5 q,
+        3,
+        "state space exceeds 5 states" );
+      ( "minimize -e branching",
+        None,
+        minimize Flow.Branching q,
+        0,
+        " states\n" );
+      ("minimize -e strong", None, minimize Flow.Strong q, 0, " states\n");
+      ("minimize .mvb -e traces", None, minimize Flow.Traces mvb, 0, "des (");
+      ( "compare .mvl .mvb",
+        None,
+        Ops.Equivalent
+          {
+            a = q;
+            b = mvb;
+            equivalence = Flow.Branching;
+            max_states = 1_000_000;
+          },
+        0,
+        "equivalent" );
+      ( "check --deadlock -f",
+        None,
+        check ~deadlock:true ~formulas:[ "[ true* ] < true > true" ] q,
+        0,
+        "holds" );
+      ("check (nothing to check)", None, check q, 2, "nothing to check");
+      ( "check --engine bes",
+        None,
+        check ~deadlock:true ~engine:`Bes q,
+        0,
+        "deadlock freedom" );
+      ( "solve -k pop --time-to-first pop",
+        None,
+        solve ~time_to_first:"pop" (path "q.mvl"),
+        0,
+        "mean time to first pop" );
+      ( "solve --method sor",
+        None,
+        solve ~method_:"sor" (path "q.mvl"),
+        0,
+        "throughput pop" );
+      ( "solve --method bogus",
+        None,
+        solve ~method_:"bogus" (path "q.mvl"),
+        2,
+        "CLI001" );
+      ("lint", None, lint (path "q.mvl"), 0, "clean");
+      ( "lint --json -W",
+        None,
+        lint ~json:true ~warn:[ "MVL005=ignore" ] (path "q.mvl"),
+        0,
+        "[" );
+      ( "lint -W bad",
+        None,
+        lint ~warn:[ "nonsense" ] (path "q.mvl"),
+        2,
+        "invalid -W argument" );
+      ( "--budget-states 3",
+        Some { Proto.max_states = Some 3; wall_s = None },
+        generate q,
+        5,
+        "budget exceeded (states)" );
+      ( "script",
+        None,
+        Ops.Script
+          { script = Ops.File (path "s.svl"); files = []; json = false },
+        0,
+        "[ ok ]" );
+      ("version", None, Ops.Version { json = false }, 0, Proto.schema);
+    ]
+  in
+  with_server @@ fun addr _server ->
+  Client.with_connection addr @@ fun client ->
+  List.iter
+    (fun (name, budget, request, code, fragment) ->
+       let local = run_via ?budget `Local request in
+       check_texts name local (run_via ?budget (`Remote client) request);
+       Alcotest.(check int) (name ^ ": expected exit code") code local.Ops.code;
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: output mentions %S" name fragment)
+         true
+         (contains (local.Ops.out ^ local.Ops.err) fragment))
+    rows
+
+let test_out_of_core_validation () =
+  in_sandbox @@ fun dir ->
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "q.mvl") (fun oc ->
+      Out_channel.output_string oc (mm1_text ~capacity:3));
+  let ram = path "ram.mvb" in
+  ignore
+    (run_via `Local ~output:ram (generate (Ops.model_of_path (path "q.mvl"))));
+  let ooc = { Ops.in_ram with Ops.out_of_core = true } in
+  let strong = minimize Flow.Strong (Ops.Mvb ram) in
+  (* a non-strong equivalence is a usage error, found before any file
+     is opened: the output is never created *)
+  let dst = path "out.mvb" in
+  let branching =
+    run_via ~residency:ooc ~output:dst `Local
+      (minimize Flow.Branching (Ops.Mvb ram))
+  in
+  Alcotest.(check int) "non-strong out of core: exit 2" 2 branching.Ops.code;
+  Alcotest.(check bool) "non-strong out of core: message" true
+    (contains branching.Ops.err "supports -e strong only, not branching");
+  Alcotest.(check bool) "non-strong out of core: nothing written" false
+    (Sys.file_exists dst);
+  (* the residency flags name client-side files: rejected with --remote
+     before anything is sent *)
+  List.iter
+    (fun residency ->
+       match Ops.validate ~remote:true ~residency ~output:dst strong with
+       | Error { Proto.kind = Proto.Bad_request; message } ->
+         Alcotest.(check bool) "names the flags" true
+           (contains message "--out-of-core, --mem-budget and --scratch-dir")
+       | _ -> Alcotest.fail "out-of-core flags accepted under --remote")
+    [
+      ooc;
+      { Ops.in_ram with Ops.mem_budget_mb = Some 1 };
+      { Ops.in_ram with Ops.scratch_dir = Some dir };
+    ];
+  (* locally the same request runs out of core, byte-identical to the
+     in-RAM pipeline *)
+  let in_ram = path "ram_min.mvb" in
+  let local_ooc = run_via ~residency:ooc ~output:dst `Local strong in
+  let local_ram = run_via ~output:in_ram `Local strong in
+  Alcotest.(check int) "out of core: exit 0" 0 local_ooc.Ops.code;
+  Alcotest.(check string) "same size note" local_ram.Ops.err local_ooc.Ops.err;
+  Alcotest.(check string) "same bytes"
+    (In_channel.with_open_bin in_ram In_channel.input_all)
+    (In_channel.with_open_bin dst In_channel.input_all)
+
 (* ------------------------------------------------------------------ *)
 (* Request-centric telemetry                                           *)
 
@@ -535,14 +769,6 @@ let with_obs f =
   Obs.enable ();
   Log.clear ();
   Fun.protect ~finally:Obs.reset f
-
-let contains haystack needle =
-  let n = String.length needle in
-  let rec scan i =
-    i + n <= String.length haystack
-    && (String.sub haystack i n = needle || scan (i + 1))
-  in
-  scan 0
 
 let test_server_request_trace () =
   with_obs @@ fun () ->
@@ -716,6 +942,10 @@ let suite =
     Alcotest.test_case "server overload fast-reject" `Quick test_server_overload;
     Alcotest.test_case "server graceful drain" `Quick test_server_drain;
     Alcotest.test_case "server metrics" `Quick test_server_metrics;
+    Alcotest.test_case "local = remote, request by request" `Quick
+      test_local_equals_remote;
+    Alcotest.test_case "out-of-core request validation" `Quick
+      test_out_of_core_validation;
     Alcotest.test_case "server request trace propagation" `Quick
       test_server_request_trace;
     Alcotest.test_case "server queue metrics and rejection logging" `Quick

@@ -82,7 +82,11 @@ let test_tandem_generates () =
     Queues.tandem ~arrival:1.0 ~transfer:2.0 ~service:3.0 ~capacity1:2
       ~capacity2:2
   in
-  let perf = Mv_core.Flow.performance ~keep:[ "pop" ] spec in
+  let perf =
+    Mv_core.Flow.Run.performance
+      Mv_core.Flow.Config.(with_keep [ "pop" ] default)
+      spec
+  in
   let tput = Mv_core.Flow.throughput perf ~gate:"pop" in
   (* stable tandem: throughput equals the arrival rate minus losses;
      it must be positive and below the arrival rate *)
@@ -130,7 +134,11 @@ let test_multi_producer_conservation () =
   let spec =
     Queues.multi_producer ~arrival0:1.0 ~arrival1:2.0 ~service:4.0 ~capacity:3
   in
-  let perf = Mv_core.Flow.performance ~keep:[ "push0"; "push1"; "pop" ] spec in
+  let perf =
+    Mv_core.Flow.Run.performance
+      Mv_core.Flow.Config.(with_keep [ "push0"; "push1"; "pop" ] default)
+      spec
+  in
   let t g = Mv_core.Flow.throughput perf ~gate:g in
   close ~eps:1e-8 "flow conservation" (t "pop") (t "push0" +. t "push1");
   Alcotest.(check bool) "both producers progress" true
@@ -166,14 +174,19 @@ let test_spill_refill_throttles () =
 
 let test_dual_server_lumping () =
   let spec = Queues.dual_server ~arrival:3.0 ~service:2.0 in
-  let perf = Mv_core.Flow.performance ~keep:[ "done" ] spec in
+  let perf =
+    Mv_core.Flow.Run.performance
+      Mv_core.Flow.Config.(with_keep [ "done" ] default)
+      spec
+  in
   (* the two engines are symmetric: lumping must strictly reduce *)
   Alcotest.(check bool) "lumping reduces" true
     (Mv_imc.Imc.nb_states perf.Mv_core.Flow.lumped
      < Mv_imc.Imc.nb_states perf.Mv_core.Flow.imc);
   (* two parallel engines outperform a single one at the same rates *)
   let single =
-    Mv_core.Flow.performance ~keep:[ "done" ]
+    Mv_core.Flow.Run.performance
+      Mv_core.Flow.Config.(with_keep [ "done" ] default)
       (Mv_core.Flow.model_of_text
          {|
 process Source := rate 3.0 ; grab ; Source
@@ -242,7 +255,11 @@ let pipeline_matches_analytic_prop =
     gen
     (fun (arrival, service, capacity) ->
        let spec = Queues.single ~arrival ~service ~capacity in
-       let perf = Mv_core.Flow.performance ~keep:[ "pop" ] spec in
+       let perf =
+         Mv_core.Flow.Run.performance
+           Mv_core.Flow.Config.(with_keep [ "pop" ] default)
+           spec
+       in
        let tput = Mv_core.Flow.throughput perf ~gate:"pop" in
        let k = Queues.system_capacity ~capacity in
        let expected = Analytic.throughput ~arrival ~service ~k in
