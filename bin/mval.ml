@@ -686,7 +686,8 @@ let script_cmd =
     run_request ?cache ~no_lint
       ~lint:(Mv_core.Svl.model_sources_of_file model)
       remote
-      (Ops.Script { script = Ops.File model; files = []; json })
+      (Ops.Script
+         { script = Ops.File model; files = []; json; artifact_dir = None })
   in
   Cmd.v
     (Cmd.info "script" ~doc:"Run an SVL-style verification script")

@@ -30,7 +30,7 @@ let divergence_free lts =
    self-loop). *)
 let collapse lts =
   let scc = tau_scc lts in
-  let transitions = ref [] in
+  let transitions = Lts.Builder.create ~capacity:(Lts.nb_transitions lts) () in
   let divergent = Array.make scc.count false in
   let size = Array.make scc.count 0 in
   Array.iter (fun c -> size.(c) <- size.(c) + 1) scc.component;
@@ -38,11 +38,11 @@ let collapse lts =
   Lts.iter_transitions lts (fun s l d ->
       let cs = scc.component.(s) and cd = scc.component.(d) in
       if l = Label.tau && cs = cd then divergent.(cs) <- true
-      else transitions := (cs, l, cd) :: !transitions);
+      else Lts.Builder.add transitions cs l cd);
   let collapsed =
-    Lts.make ~nb_states:scc.count
+    Lts.Builder.finish transitions ~nb_states:scc.count
       ~initial:scc.component.(Lts.initial lts)
-      ~labels:(Lts.labels lts) !transitions
+      ~labels:(Lts.labels lts)
   in
   (collapsed, scc.component, divergent)
 
@@ -298,14 +298,17 @@ let minimize_from ?(divergence_sensitive = false) lts (p : Partition.t) =
         component;
       if Hashtbl.length needs_loop = 0 then quotient
       else begin
-        let transitions = ref [] in
-        Lts.iter_transitions quotient (fun s l d -> transitions := (s, l, d) :: !transitions);
-        Hashtbl.iter
-          (fun block () -> transitions := (block, Label.tau, block) :: !transitions)
+        let b =
+          Lts.Builder.create
+            ~capacity:(Lts.nb_transitions quotient + Hashtbl.length needs_loop)
+            ()
+        in
+        Lts.iter_transitions quotient (Lts.Builder.add b);
+        Hashtbl.iter (fun block () -> Lts.Builder.add b block Label.tau block)
           needs_loop;
-        Lts.make ~nb_states:(Lts.nb_states quotient)
+        Lts.Builder.finish b ~nb_states:(Lts.nb_states quotient)
           ~initial:(Lts.initial quotient)
-          ~labels:(Lts.labels quotient) !transitions
+          ~labels:(Lts.labels quotient)
       end
     end
   in

@@ -36,7 +36,7 @@ let visible_successors lts states =
 
 let determinize lts =
   let ids : (int list, int) Hashtbl.t = Hashtbl.create 64 in
-  let transitions = ref [] in
+  let transitions = Lts.Builder.create () in
   let labels = Label.create () in
   let frontier = Queue.create () in
   let nb = ref 0 in
@@ -55,10 +55,10 @@ let determinize lts =
     let src, set = Queue.pop frontier in
     List.iter
       (fun (name, dsts) ->
-         transitions := (src, Label.intern labels name, id_of dsts) :: !transitions)
+         Lts.Builder.add transitions src (Label.intern labels name) (id_of dsts))
       (visible_successors lts set)
   done;
-  Lts.make ~nb_states:!nb ~initial ~labels !transitions
+  Lts.Builder.finish transitions ~nb_states:!nb ~initial ~labels
 
 (* Simultaneous subset exploration of [a] against [b]; returns a
    shortest trace [a] can do that [b] cannot, if any. *)

@@ -30,12 +30,10 @@ let tau_reach lts =
 let saturate lts =
   let n = Lts.nb_states lts in
   let closure = tau_reach lts in
-  let transitions = Hashtbl.create 1024 in
+  let transitions = Lts.Builder.create ~capacity:(Lts.nb_transitions lts + n) () in
   (* weak tau arrows (reflexive closure included) *)
   for s = 0 to n - 1 do
-    List.iter
-      (fun t -> Hashtbl.replace transitions (s, Label.tau, t) ())
-      closure.(s)
+    List.iter (fun t -> Lts.Builder.add transitions s Label.tau t) closure.(s)
   done;
   (* weak visible arrows: s tau* u -a-> v tau* t *)
   for s = 0 to n - 1 do
@@ -44,12 +42,15 @@ let saturate lts =
          Lts.iter_out lts u (fun label v ->
              if label <> Label.tau then
                List.iter
-                 (fun t -> Hashtbl.replace transitions (s, label, t) ())
+                 (fun t -> Lts.Builder.add transitions s label t)
                  closure.(v)))
-      closure.(s)
+      closure.(s);
+    (* different paths reach the same arrow: keep memory to the
+       distinct ones *)
+    Lts.Builder.compact transitions ~nb_states:n
   done;
-  let triples = Hashtbl.fold (fun (s, l, t) () acc -> (s, l, t) :: acc) transitions [] in
-  Lts.make ~nb_states:n ~initial:(Lts.initial lts) ~labels:(Lts.labels lts) triples
+  Lts.Builder.finish transitions ~nb_states:n ~initial:(Lts.initial lts)
+    ~labels:(Lts.labels lts)
 
 let partition ?pool lts = Strong.partition ?pool (saturate lts)
 

@@ -28,7 +28,7 @@ let compose ?(expect = 256) ~sync a b =
   in
   let sync_a = is_sync (Lts.labels a) and sync_b = is_sync (Lts.labels b) in
   let ids = Pair_table.create (max 256 (min expect (1 lsl 22))) in
-  let transitions = ref [] in
+  let transitions = Lts.Builder.create () in
   let frontier = Queue.create () in
   let nb = ref 0 in
   let id_of pair =
@@ -48,12 +48,12 @@ let compose ?(expect = 256) ~sync a b =
     List.iter
       (fun (l, d) ->
          if not sync_a.(l) then
-           transitions := (src, label_of_a.(l), id_of (d, sb)) :: !transitions)
+           Lts.Builder.add transitions src label_of_a.(l) (id_of (d, sb)))
       moves_a;
     List.iter
       (fun (l, d) ->
          if not sync_b.(l) then
-           transitions := (src, label_of_b.(l), id_of (sa, d)) :: !transitions)
+           Lts.Builder.add transitions src label_of_b.(l) (id_of (sa, d)))
       moves_b;
     List.iter
       (fun (la, da) ->
@@ -61,9 +61,9 @@ let compose ?(expect = 256) ~sync a b =
            List.iter
              (fun (lb, db) ->
                 if sync_b.(lb) && label_of_a.(la) = label_of_b.(lb) then
-                  transitions :=
-                    (src, label_of_a.(la), id_of (da, db)) :: !transitions)
+                  Lts.Builder.add transitions src label_of_a.(la)
+                    (id_of (da, db)))
              moves_b)
       moves_a
   done;
-  Lts.make ~nb_states:!nb ~initial ~labels !transitions
+  Lts.Builder.finish transitions ~nb_states:!nb ~initial ~labels

@@ -279,47 +279,16 @@ module Run = struct
         ~nb_labels:(Label.count labels) ~fwd ~rev
     in
     (* quotient without materializing the input: one more segment
-       sweep, deduplicating mapped transitions as they appear (the
-       distinct set is as small as the minimized system). The mapped
-       triple packs into one immediate int whenever count^2 * labels
-       fits a word — always, short of 10^9-block quotients — so the
-       sweep allocates nothing per transition and the table holds
-       unboxed keys. *)
-    let nl = Label.count labels in
-    let transitions =
-      if
-        count > 0 && nl > 0
-        && count < 1 lsl 30
-        && nl < 1 lsl 30
-        && nl * count <= max_int / count
-      then begin
-        let distinct : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
-        Mv_store.Mvb.Segment.iter_all seg (fun s l d ->
-            let key = ((block_of.(s) * nl) + l) * count + block_of.(d) in
-            if not (Hashtbl.mem distinct key) then
-              Hashtbl.replace distinct key ());
-        Hashtbl.fold
-          (fun k () acc ->
-            let bd = k mod count in
-            let r = k / count in
-            (r / nl, r mod nl, bd) :: acc)
-          distinct []
-      end
-      else begin
-        let distinct : (int * int * int, unit) Hashtbl.t =
-          Hashtbl.create 4096
-        in
-        Mv_store.Mvb.Segment.iter_all seg (fun s l d ->
-            let key = (block_of.(s), l, block_of.(d)) in
-            if not (Hashtbl.mem distinct key) then
-              Hashtbl.replace distinct key ());
-        Hashtbl.fold (fun t () acc -> t :: acc) distinct []
-      end
-    in
+       sweep into a builder kept compacted, so it holds O(quotient)
+       transitions, not O(input) *)
+    let b = Lts.Builder.create ~capacity:(min m 65536) () in
+    Mv_store.Mvb.Segment.iter_all seg (fun s l d ->
+        Lts.Builder.add b block_of.(s) l block_of.(d);
+        Lts.Builder.compact b ~nb_states:count);
     let quotient =
-      Lts.make ~nb_states:count
+      Lts.Builder.finish b ~nb_states:count
         ~initial:block_of.(Mv_store.Mvb.Segment.initial seg)
-        ~labels transitions
+        ~labels
     in
     let minimized = Lts.restrict_reachable quotient in
     Mv_store.Mvb.write_file dst minimized;

@@ -227,11 +227,12 @@ let load_model ~dir path = Flow.model_of_text (read_file (resolve ~dir path))
 let single_to_double_quotes text =
   String.map (fun c -> if c = '\'' then '"' else c) text
 
-let save ~dir path lts =
+(* Writes under [dir]; returns the path as reported, under [shown]. *)
+let save ~dir ~shown path lts =
   let full = resolve ~dir path in
   if Filename.check_suffix full ".mvb" then Mvb.write_file full lts
   else Mv_lts.Aut.write_file full lts;
-  full
+  resolve ~dir:shown path
 
 (* What execute computes; the run loop turns it into a [step] by
    adding the description and the cache-session delta. *)
@@ -239,7 +240,7 @@ type result = { passed : bool; artifacts : string list; detail : string }
 
 let passed ?(artifacts = []) detail = { passed = true; artifacts; detail }
 
-let execute ~config ~dir statement =
+let execute ~config ~dir ~shown statement =
   match statement with
   | Expect_throughput { source; gate; lo; hi } ->
     let perf =
@@ -258,14 +259,14 @@ let execute ~config ~dir statement =
     let lts = load_lts ~config ~dir source in
     let lts = if hide = [] then lts else Lts.hide lts ~gates:hide in
     passed
-      ~artifacts:[ save ~dir target lts ]
+      ~artifacts:[ save ~dir ~shown target lts ]
       (Printf.sprintf "%d states, %d transitions" (Lts.nb_states lts)
          (Lts.nb_transitions lts))
   | Reduction { target; equivalence; source } ->
     let lts = load_lts ~config ~dir source in
     let reduced = Flow.Run.minimize config equivalence lts in
     passed
-      ~artifacts:[ save ~dir target reduced ]
+      ~artifacts:[ save ~dir ~shown target reduced ]
       (Printf.sprintf "%d -> %d states" (Lts.nb_states lts)
          (Lts.nb_states reduced))
   | Composition { target; left; gates; right } ->
@@ -275,12 +276,12 @@ let execute ~config ~dir statement =
         (load_lts ~config ~dir right)
     in
     passed
-      ~artifacts:[ save ~dir target product ]
+      ~artifacts:[ save ~dir ~shown target product ]
       (Printf.sprintf "%d states" (Lts.nb_states product))
   | Hide { target; gates; source } ->
     let lts = Lts.hide (load_lts ~config ~dir source) ~gates in
     passed
-      ~artifacts:[ save ~dir target lts ]
+      ~artifacts:[ save ~dir ~shown target lts ]
       (Printf.sprintf "%d states" (Lts.nb_states lts))
   | Check { formula; source } ->
     let lts = load_lts ~config ~dir source in
@@ -318,7 +319,7 @@ let execute ~config ~dir statement =
             (fun (action, value) -> Printf.sprintf "%s: %.6g" action value)
             throughputs))
 
-let run_string ?cache ?(dir = ".") text =
+let run_string ?cache ?(dir = ".") ?(artifact_dir = dir) text =
   let statements = parse_script text in
   let config = Flow.Config.with_cache cache Flow.Config.default in
   let session () = match cache with Some c -> Cache.session c | None -> (0, 0) in
@@ -327,7 +328,7 @@ let run_string ?cache ?(dir = ".") text =
     | statement :: rest -> (
         let description = describe statement in
         let hits0, misses0 = session () in
-        match execute ~config ~dir statement with
+        match execute ~config ~dir ~shown:artifact_dir statement with
         | result ->
           let cache_use =
             match cache with

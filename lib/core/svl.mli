@@ -68,11 +68,19 @@ val ok : step -> bool
 exception Parse_error of string
 
 (** Run a script from text. [dir] anchors relative paths (default:
-    current directory). [cache] memoizes generation/reduction/lumping
+    current directory). Artifact paths are reported resolved against
+    [artifact_dir] (default [dir]): a script run in a scratch directory
+    on someone else's behalf reports them as they would read in the
+    sender's own directory. [cache] memoizes generation/reduction/lumping
     through {!Flow.Run}. Execution continues past failed checks but
     stops at the first hard error, which is reported as a
     [Hard_error] step carrying the real statement description. *)
-val run_string : ?cache:Mv_store.Cache.t -> ?dir:string -> string -> step list
+val run_string :
+  ?cache:Mv_store.Cache.t ->
+  ?dir:string ->
+  ?artifact_dir:string ->
+  string ->
+  step list
 
 (** Run a script file (paths resolve against its directory). *)
 val run_file : ?cache:Mv_store.Cache.t -> string -> step list

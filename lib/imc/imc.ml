@@ -111,12 +111,15 @@ let of_lts lts =
 let to_lts ?(exact = false) t =
   let labels = Label.copy t.labels in
   let rate_format : (_, _, _) format = if exact then "%s %h" else "%s %.12g" in
-  let transitions = ref [] in
-  iter_interactive t (fun s l d -> transitions := (s, l, d) :: !transitions);
+  let transitions =
+    Lts.Builder.create ~capacity:(nb_interactive t + nb_markovian t) ()
+  in
+  iter_interactive t (Lts.Builder.add transitions);
   iter_markovian t (fun s r d ->
       let name = Printf.sprintf rate_format rate_gate r in
-      transitions := (s, Label.intern labels name, d) :: !transitions);
-  Lts.make ~nb_states:t.nb_states ~initial:t.initial ~labels !transitions
+      Lts.Builder.add transitions s (Label.intern labels name) d);
+  Lts.Builder.finish transitions ~nb_states:t.nb_states ~initial:t.initial
+    ~labels
 
 let relabel_interactive t f =
   let labels = Label.create () in

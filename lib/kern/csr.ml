@@ -50,13 +50,11 @@ let forward_iter ?(mode = In_ram) ~n ~m iter =
 let reverse_iter ?(mode = In_ram) ~n ~m iter =
   build_iter ~mode ~n ~m ~key:(fun _ d -> d) ~value:(fun s _ -> s) iter
 
-let forward ?mode lts =
-  forward_iter ?mode ~n:(Lts.nb_states lts) ~m:(Lts.nb_transitions lts)
-    (fun f -> Lts.iter_transitions lts f)
+let of_arrays (row, lbl, col) =
+  { row = Arr.of_array row; lbl = Arr.of_array lbl; col = Arr.of_array col }
 
-let reverse ?mode lts =
-  reverse_iter ?mode ~n:(Lts.nb_states lts) ~m:(Lts.nb_transitions lts)
-    (fun f -> Lts.iter_transitions lts f)
+let forward lts = of_arrays (Lts.forward_index lts)
+let reverse lts = of_arrays (Lts.reverse_index lts)
 
 let deterministic t =
   let n = nb_rows t in

@@ -1,16 +1,18 @@
 (** Compressed-sparse-row adjacency over an {!Mv_lts.Lts.t}.
 
     Three flat {!Arr.t} arrays: [row] (length [nb_states + 1]) indexes
-    into [lbl]/[col], which hold one entry per transition. Built once,
-    in one O(n + m) pass, then shared by every refinement / solver
-    pass — no per-state allocation afterwards.
+    into [lbl]/[col], which hold one entry per transition, shared by
+    every refinement / solver pass — no per-state allocation.
 
-    The backing is chosen at build time: {!In_ram} (heap arrays, the
-    default fast path) or {!Scratch} (mmap'd scratch files in the
-    given directory — the out-of-core path, where the kernel pages
-    cold ranges out instead of the process holding ~3 words per
-    transition resident). The stored values are identical either way,
-    so every downstream algorithm produces byte-identical results.
+    Over a materialized LTS, {!forward} and {!reverse} are views of the
+    LTS's own heap arrays, with no copy. From a transition iterator
+    ({!forward_iter}, {!reverse_iter}: the out-of-core path) they are
+    built in one O(n + m) pass, with the backing chosen at build time:
+    {!In_ram} (heap arrays) or {!Scratch} (mmap'd scratch files in the
+    given directory, where the kernel pages cold ranges out instead of
+    the process holding ~3 words per transition resident). The stored
+    values are identical either way, so every downstream algorithm
+    produces byte-identical results.
 
     [forward] rows are indexed by source state and [col] holds
     destinations; entries within a row appear in [(label, dst)] order
@@ -32,11 +34,15 @@ type mode = In_ram | Scratch of string
 val nb_rows : t -> int
 val nb_entries : t -> int
 
-(** Forward adjacency: rows by source, [col] = destination. *)
-val forward : ?mode:mode -> Mv_lts.Lts.t -> t
+(** Forward adjacency: rows by source, [col] = destination. A
+    zero-copy heap view of the LTS's own arrays
+    ({!Mv_lts.Lts.forward_index}). *)
+val forward : Mv_lts.Lts.t -> t
 
-(** Reverse adjacency: rows by destination, [col] = source. *)
-val reverse : ?mode:mode -> Mv_lts.Lts.t -> t
+(** Reverse adjacency: rows by destination, [col] = source. A
+    zero-copy heap view of the LTS's cached reverse index
+    ({!Mv_lts.Lts.reverse_index}). *)
+val reverse : Mv_lts.Lts.t -> t
 
 (** Build from a replayable transition iterator instead of a
     materialized LTS (the out-of-core generate→minimize path feeds a

@@ -116,7 +116,11 @@ let of_string text =
   let nb_states = parse_int cur in
   expect_char cur ')';
   let labels = Label.create () in
-  let transitions = ref [] in
+  (* a transition takes at least 7 characters: a lying header cannot
+     make the builder over-allocate *)
+  let transitions =
+    Lts.Builder.create ~capacity:(min nb_transitions (String.length text / 7)) ()
+  in
   for _ = 1 to nb_transitions do
     expect_char cur '(';
     let src = parse_int cur in
@@ -125,9 +129,9 @@ let of_string text =
     expect_char cur ',';
     let dst = parse_int cur in
     expect_char cur ')';
-    transitions := (src, Label.intern labels label, dst) :: !transitions
+    Lts.Builder.add transitions src (Label.intern labels label) dst
   done;
-  Lts.make ~nb_states ~initial ~labels !transitions
+  Lts.Builder.finish transitions ~nb_states ~initial ~labels
 
 let write_file path lts =
   let oc = open_out path in

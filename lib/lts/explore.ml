@@ -65,7 +65,7 @@ module Make (S : STATE) = struct
      | Some 0 -> ()
      | Some _ | None -> assert false);
     let labels = Label.create () in
-    let transitions = ref [] in
+    let transitions = Lts.Builder.create () in
     let expansions = ref 0 in
     while not (Queue.is_empty frontier) do
       let src, state = Queue.pop frontier in
@@ -83,7 +83,7 @@ module Make (S : STATE) = struct
            match id_of dst_state with
            | Some dst ->
              incr nb_transitions;
-             transitions := (src, Label.intern labels label, dst) :: !transitions
+             Lts.Builder.add transitions src (Label.intern labels label) dst
            | None -> ())
         moves
     done;
@@ -91,7 +91,7 @@ module Make (S : STATE) = struct
     Obs.add (Obs.counter "explore.transitions") !nb_transitions;
     Obs.add (Obs.counter "explore.dedup_hits") !dedup;
     let states_array = Array.of_list (List.rev !states) in
-    let lts = Lts.make ~nb_states:!nb ~initial:0 ~labels !transitions in
+    let lts = Lts.Builder.finish transitions ~nb_states:!nb ~initial:0 ~labels in
     { lts; states = states_array; truncated = !truncated }
 
   (* Parallel level-synchronous BFS. Discovery runs with provisional
@@ -218,7 +218,7 @@ module Make (S : STATE) = struct
     in
     assign init_id;
     let labels = Label.create () in
-    let transitions = ref [] in
+    let transitions = Lts.Builder.create () in
     let nb_transitions = ref 0 in
     let dedup = ref 0 in
     let cursor = ref 0 in
@@ -245,7 +245,7 @@ module Make (S : STATE) = struct
            match dst with
            | Some dst ->
              incr nb_transitions;
-             transitions := (src, Label.intern labels label, dst) :: !transitions
+             Lts.Builder.add transitions src (Label.intern labels label) dst
            | None -> ())
         slots.(prov)
     done;
@@ -255,7 +255,7 @@ module Make (S : STATE) = struct
     let states_array =
       Array.init !nb (fun c -> Shard_set.get set (Mv_util.Vec.get order c))
     in
-    let lts = Lts.make ~nb_states:!nb ~initial:0 ~labels !transitions in
+    let lts = Lts.Builder.finish transitions ~nb_states:!nb ~initial:0 ~labels in
     { lts; states = states_array; truncated = !truncated }
 
   let run ?pool ?(tick = no_tick) ?(max_states = 1_000_000)

@@ -175,8 +175,8 @@ let solve_texts config ~first spec =
           (Flow.time_to_first perf ~gate)));
   { out = Buffer.contents buffer; err; code = 0 }
 
-let script_texts ?cache ?dir ~json script =
-  let steps = Svl.run_string ?cache ?dir script in
+let script_texts ?cache ?dir ?artifact_dir ~json script =
+  let steps = Svl.run_string ?cache ?dir ?artifact_dir script in
   let out =
     if json then Json.to_string (Svl.steps_json steps) ^ "\n"
     else begin
@@ -309,7 +309,10 @@ type request =
       scheduler : [ `Uniform | `Fail ]; method_ : string option;
       time_to_first : string option;
     }
-  | Script of { script : source; files : (string * string) list; json : bool }
+  | Script of {
+      script : source; files : (string * string) list; json : bool;
+      artifact_dir : string option;
+    }
   | Lint of {
       model : source; file : string; json : bool; warn : string list;
       max_phases : int;
@@ -476,8 +479,9 @@ let with_temp_dir f =
     (fun () -> f dir)
 
 (* A shipped script runs in a throwaway directory holding the model
-   sources that came with it (flat names only). *)
-let run_shipped_script ?cache ~json ~files text =
+   sources that came with it (flat names only), and reports its
+   artifacts under the sender's script directory. *)
+let run_shipped_script ?cache ~json ~files ~artifact_dir text =
   List.iter
     (fun (name, _) ->
        if Filename.basename name <> name || name = "." || name = ".." then
@@ -489,7 +493,7 @@ let run_shipped_script ?cache ~json ~files text =
        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
            Out_channel.output_string oc text))
     files;
-  script_texts ?cache ~dir ~json text
+  script_texts ?cache ~dir ~artifact_dir ~json text
 
 let run ?cache ?pool ?budget ~residency ?output request =
   let config ?expect max_states =
@@ -570,8 +574,11 @@ let run ?cache ?pool ?budget ~residency ?output request =
   | Script { script = File path; json; _ } ->
     Texts
       (script_texts ?cache ~dir:(Filename.dirname path) ~json (read_file path))
-  | Script { script = Text text; files; json } ->
-    Texts (run_shipped_script ?cache ~json ~files text)
+  | Script { script = Text text; files; json; artifact_dir } ->
+    Texts
+      (run_shipped_script ?cache ~json ~files
+         ~artifact_dir:(Option.value artifact_dir ~default:".")
+         text)
   | Lint { model; file; json; warn; max_phases } -> (
     match lint_config_of_specs ~max_phases warn with
     | Error msg -> Texts { out = ""; err = msg ^ "\n"; code = 2 }
@@ -708,19 +715,22 @@ let request_to_json request =
          ("scheduler", Json.String (name_of schedulers scheduler)) ]
        @ optional "method" (fun m -> Json.String m) method_
        @ optional "time_to_first" (fun g -> Json.String g) time_to_first
-     | Script { script; files; json } ->
-       (* a client-side script ships the .mvl sources it references *)
-       let files =
+     | Script { script; files; json; artifact_dir } ->
+       (* a client-side script ships the .mvl sources it references,
+          and its directory, which artifact paths are reported under *)
+       let files, artifact_dir =
          match script with
          | File path ->
-           List.map
-             (fun source -> (Filename.basename source, read_file source))
-             (Svl.model_sources_of_file path)
-         | Text _ -> files
+           ( List.map
+               (fun source -> (Filename.basename source, read_file source))
+               (Svl.model_sources_of_file path),
+             Some (Filename.dirname path) )
+         | Text _ -> (files, artifact_dir)
        in
        [ ("script", Json.String (read script));
          ("files", Json.Obj (List.map (fun (n, t) -> (n, Json.String t)) files));
          ("json", Json.Bool json) ]
+       @ optional "dir" (fun d -> Json.String d) artifact_dir
      | Lint { model; file; json; warn; max_phases } ->
        [ ("model", Json.String (read model)); ("file", Json.String file);
          ("json", Json.Bool json); ("warn", strings warn);
@@ -821,7 +831,8 @@ let request_of_json ~op args =
            | Some (Json.Obj fields) -> List.map file fields
            | Some Json.Null | None -> []
            | Some _ -> bad "field \"files\" must be an object");
-        json = flag "json" args }
+        json = flag "json" args;
+        artifact_dir = str "dir" args }
   | "lint" ->
     Lint
       { model = Text (required str "model" args);

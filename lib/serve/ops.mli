@@ -73,7 +73,15 @@ type request =
       scheduler : [ `Uniform | `Fail ]; method_ : string option;
       time_to_first : string option;
     }
-  | Script of { script : source; files : (string * string) list; json : bool }
+  | Script of {
+      script : source; files : (string * string) list; json : bool;
+      artifact_dir : string option;
+          (** A shipped ([Text]) script runs in a scratch directory and
+              reports its artifact paths under this directory instead:
+              the sender's script directory ("." when absent). A [File]
+              script reports them under its own directory and ships
+              that directory as the request's ["dir"]. *)
+    }
   | Lint of {
       model : source; file : string; json : bool; warn : string list;
       max_phases : int;

@@ -208,26 +208,33 @@ let read_source source =
     parse_meta (source_of_string (read_section source 'M'))
   in
   let labels = parse_label_table ~nb_labels (read_section source 'L') in
-  let transitions = source_of_string (read_section source 'T') in
-  let triples = Array.make nb_transitions (0, 0, 0) in
-  let i = ref 0 in
+  let payload = read_section source 'T' in
+  let transitions = source_of_string payload in
+  (* every transition takes at least two bytes: a corrupt count cannot
+     make the builder over-allocate *)
+  let b =
+    Lts.Builder.create
+      ~capacity:(min nb_transitions (String.length payload / 2))
+      ()
+  in
   for s = 0 to nb_states - 1 do
     let degree = read_varint transitions in
     for _ = 1 to degree do
-      if !i >= nb_transitions then corrupt "more transitions than declared";
+      if Lts.Builder.length b >= nb_transitions then
+        corrupt "more transitions than declared";
       let l = read_varint transitions in
       let d = read_varint transitions in
       if l >= nb_labels then corrupt "label index %d out of range" l;
       if d >= nb_states then corrupt "destination state %d out of range" d;
-      triples.(!i) <- (s, l, d);
-      incr i
+      Lts.Builder.add b s l d
     done
   done;
-  if !i <> nb_transitions then
-    corrupt "fewer transitions than declared (%d of %d)" !i nb_transitions;
+  let read = Lts.Builder.length b in
+  if read <> nb_transitions then
+    corrupt "fewer transitions than declared (%d of %d)" read nb_transitions;
   let tag = source.read_char () in
   if tag <> 'E' then corrupt "missing end marker";
-  Lts.make_array ~nb_states ~initial ~labels triples
+  Lts.Builder.finish b ~nb_states ~initial ~labels
 
 let of_string s =
   let source = source_of_string s in
@@ -318,42 +325,34 @@ module Stream = struct
     | Some oc -> oc
     | None -> invalid_arg "Mvb.Stream: writer already finished"
 
-  (* Canonicalize exactly like [Lts.make]: sort by (label, dst), drop
-     duplicates. The stream writer is then byte-identical to the
-     materialized writer by construction, whatever order the caller
+  (* Canonicalize with the LTS builder's row order: sort by (label,
+     dst), drop duplicates. The stream writer is then byte-identical to
+     the materialized writer by construction, whatever order the caller
      discovered the moves in. *)
   let canonical moves =
-    let moves = Array.copy moves in
-    Array.sort compare moves;
-    let n = Array.length moves in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      if !k = 0 || moves.(!k - 1) <> moves.(i) then begin
-        moves.(!k) <- moves.(i);
-        incr k
-      end
-    done;
-    Array.sub moves 0 !k
+    let lbl = Array.map fst moves and dst = Array.map snd moves in
+    let k = Lts.Builder.sort_row lbl dst (Array.length moves) in
+    (lbl, dst, k)
 
   let add_state w moves =
     let oc = oc w in
-    let moves = canonical moves in
+    let lbl, dst, k = canonical moves in
     Buffer.clear w.w_buf;
-    add_varint w.w_buf (Array.length moves);
-    Array.iter
-      (fun (l, d) ->
-        if l < 0 || d < 0 then invalid_arg "Mvb.Stream.add_state: negative";
-        if l > w.w_max_label then w.w_max_label <- l;
-        if d > w.w_max_dst then w.w_max_dst <- d;
-        add_varint w.w_buf l;
-        add_varint w.w_buf d)
-      moves;
+    add_varint w.w_buf k;
+    for i = 0 to k - 1 do
+      let l = lbl.(i) and d = dst.(i) in
+      if l < 0 || d < 0 then invalid_arg "Mvb.Stream.add_state: negative";
+      if l > w.w_max_label then w.w_max_label <- l;
+      if d > w.w_max_dst then w.w_max_dst <- d;
+      add_varint w.w_buf l;
+      add_varint w.w_buf d
+    done;
     let chunk = Buffer.contents w.w_buf in
     output_string oc chunk;
     w.w_crc <- crc_update w.w_crc chunk;
     w.w_bytes <- w.w_bytes + String.length chunk;
     w.w_states <- w.w_states + 1;
-    w.w_transitions <- w.w_transitions + Array.length moves
+    w.w_transitions <- w.w_transitions + k
 
   let abort w =
     match w.w_oc with

@@ -171,18 +171,158 @@ let aut_round_trip_prop =
        && Lts.nb_transitions back = Lts.nb_transitions lts
        && Lts.occurring_labels back = Lts.occurring_labels lts)
 
-let test_make_array_and_relabel () =
+let test_make_and_relabel () =
   let labels = Label.create () in
   let a = Label.intern labels "a" in
-  let lts =
-    Lts.make_array ~nb_states:2 ~initial:0 ~labels [| (0, a, 1); (0, a, 1) |]
-  in
+  let lts = Lts.make ~nb_states:2 ~initial:0 ~labels [ (0, a, 1); (0, a, 1) ] in
   Alcotest.(check int) "deduped" 1 (Lts.nb_transitions lts);
   let relabeled = Lts.relabel lts (fun s _ d -> (d, "flip", s)) in
   Alcotest.(check bool) "reversed edge" true
     (Lts.has_transition relabeled 1
        (Option.get (Label.find (Lts.labels relabeled) "flip"))
        0)
+
+(* ---- Builder: differential against a sorted, deduplicated list ---- *)
+
+let builder_of triples =
+  let b = Lts.Builder.create ~capacity:4 () in
+  List.iter (fun (s, l, d) -> Lts.Builder.add b s l d) triples;
+  b
+
+let transitions_of lts =
+  let out = ref [] in
+  Lts.iter_transitions lts (fun s l d -> out := (s, l, d) :: !out);
+  List.rev !out
+
+let incoming_of lts =
+  List.init (Lts.nb_states lts) (fun s ->
+      let out = ref [] in
+      Lts.iter_in lts s (fun l src -> out := (l, src) :: !out);
+      List.rev !out)
+
+(* what iter_in must give: for each target, (label, src) in global
+   (src, label, dst) order *)
+let expected_incoming ~nb_states sorted =
+  List.init nb_states (fun s ->
+      List.filter_map
+        (fun (src, l, d) -> if d = s then Some (l, src) else None)
+        sorted)
+
+(* Shapes: 0 no transitions; 1 random order; 2 few distinct values
+   (many duplicates); 3 one row longer than 1000 entries (a quotient's
+   block row); 4 already sorted (the .mvb reader's case); 5 sorted by
+   source only (the explorer's case). Labels reach 1000; self-loops are
+   frequent. *)
+let builder_gen =
+  QCheck2.Gen.(
+    let* shape = int_bound 5 in
+    let* nb_states = int_range 1 (if shape = 2 then 4 else 60) in
+    let state = int_bound (nb_states - 1) in
+    let label =
+      if shape = 2 then int_bound 2
+      else frequency [ (3, int_bound 5); (1, int_bound 1000) ]
+    in
+    let triple =
+      let* s =
+        if shape = 3 then frequency [ (9, return 0); (1, state) ] else state
+      in
+      let* l = label in
+      let* d = frequency [ (1, return s); (3, state) ] in
+      return (s, l, d)
+    in
+    let* count =
+      match shape with
+      | 0 -> return 0
+      | 3 -> int_range 1001 1500
+      | _ -> int_bound 300
+    in
+    let* triples = list_repeat count triple in
+    let triples =
+      match shape with
+      | 4 -> List.sort compare triples
+      | 5 -> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) triples
+      | _ -> triples
+    in
+    return (nb_states, triples))
+
+let builder_matches_sort_uniq =
+  QCheck2.Test.make ~name:"builder matches List.sort_uniq" ~count:300
+    builder_gen (fun (nb_states, triples) ->
+      let labels = Label.create () in
+      let lts =
+        Lts.Builder.finish (builder_of triples) ~nb_states ~initial:0 ~labels
+      in
+      let sorted = List.sort_uniq compare triples in
+      transitions_of lts = sorted
+      && incoming_of lts = expected_incoming ~nb_states sorted
+      && List.for_all
+           (fun s ->
+             Lts.out_degree lts s
+             = List.length (List.filter (fun (s', _, _) -> s' = s) sorted))
+           (List.init nb_states Fun.id))
+
+let sort_row_matches_sort_uniq =
+  QCheck2.Test.make ~name:"sort_row matches List.sort_uniq" ~count:200
+    QCheck2.Gen.(
+      list_size (int_bound 100)
+        (pair
+           (frequency [ (3, int_bound 3); (1, int_bound 1000) ])
+           (frequency [ (3, int_bound 5); (1, int_bound 100_000) ])))
+    (fun moves ->
+      let lbl = Array.of_list (List.map fst moves)
+      and dst = Array.of_list (List.map snd moves) in
+      let k = Lts.Builder.sort_row lbl dst (List.length moves) in
+      List.init k (fun i -> (lbl.(i), dst.(i))) = List.sort_uniq compare moves)
+
+let test_builder_errors () =
+  let labels = Label.create () in
+  let raises msg ~nb_states ~initial triples =
+    Alcotest.check_raises
+      (Printf.sprintf "%s: builder" msg)
+      (Invalid_argument msg)
+      (fun () ->
+        ignore
+          (Lts.Builder.finish (builder_of triples) ~nb_states ~initial ~labels));
+    Alcotest.check_raises
+      (Printf.sprintf "%s: make" msg)
+      (Invalid_argument msg)
+      (fun () -> ignore (Lts.make ~nb_states ~initial ~labels triples))
+  in
+  let ok = [ (0, 1, 1); (1, 0, 0); (2, 3, 1) ] in
+  raises "Lts.make: initial" ~nb_states:3 ~initial:3 ok;
+  raises "Lts.make: initial" ~nb_states:3 ~initial:(-1) ok;
+  raises "Lts.make: initial" ~nb_states:0 ~initial:0 [];
+  (* the initial state is checked before the transitions *)
+  raises "Lts.make: initial" ~nb_states:3 ~initial:5 [ (9, 0, 9) ];
+  List.iter
+    (fun bad ->
+      raises "Lts.make: state out of range" ~nb_states:3 ~initial:0
+        (ok @ [ bad ] @ ok))
+    [ (-1, 0, 0); (3, 0, 0); (0, 0, -1); (0, 0, 3); (min_int, 0, max_int) ]
+
+let test_builder_compact () =
+  (* 100 distinct transitions added 2000 times each: compacting keeps
+     the pending count within twice the distinct count past the floor *)
+  let labels = Label.create () in
+  let b = Lts.Builder.create () in
+  let longest = ref 0 in
+  for round = 1 to 2000 do
+    for i = 99 downto 0 do
+      Lts.Builder.add b (i mod 10) (round mod 2) (i / 10);
+      Lts.Builder.compact b ~nb_states:10;
+      longest := max !longest (Lts.Builder.length b)
+    done
+  done;
+  Alcotest.(check bool) "bounded" true (!longest <= 1 lsl 16);
+  let lts = Lts.Builder.finish b ~nb_states:10 ~initial:0 ~labels in
+  let expected =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun i -> [ (i mod 10, 0, i / 10); (i mod 10, 1, i / 10) ])
+         (List.init 100 Fun.id))
+  in
+  Alcotest.(check (list (triple int int int)))
+    "distinct transitions" expected (transitions_of lts)
 
 let test_label_table_growth () =
   (* exceed the initial capacity of the interning table *)
@@ -292,9 +432,8 @@ let check_ooc_matches_run ?hot_budget_bytes ?max_states ~n () =
           ~labels ~emit ~initial:0 ~successors ()
       in
       let streamed =
-        Lts.make_array ~nb_states:outcome.Mv_lts.Explore.ooc_states ~initial:0
-          ~labels
-          (Array.of_list (List.rev !transitions))
+        Lts.make ~nb_states:outcome.Mv_lts.Explore.ooc_states ~initial:0 ~labels
+          (List.rev !transitions)
       in
       Alcotest.(check string) "identical stream"
         (Aut.to_string reference.Mv_lts.Explore.lts)
@@ -334,7 +473,11 @@ let suite =
     Alcotest.test_case "aut bare labels" `Quick test_aut_bare_labels;
     Alcotest.test_case "aut errors" `Quick test_aut_errors;
     QCheck_alcotest.to_alcotest aut_round_trip_prop;
-    Alcotest.test_case "make_array/relabel" `Quick test_make_array_and_relabel;
+    Alcotest.test_case "make/relabel" `Quick test_make_and_relabel;
+    QCheck_alcotest.to_alcotest builder_matches_sort_uniq;
+    QCheck_alcotest.to_alcotest sort_row_matches_sort_uniq;
+    Alcotest.test_case "builder errors" `Quick test_builder_errors;
+    Alcotest.test_case "builder compact" `Quick test_builder_compact;
     Alcotest.test_case "label table growth" `Quick test_label_table_growth;
     Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
     Alcotest.test_case "scc basics" `Quick test_scc_basic;

@@ -693,9 +693,27 @@ solve "q.mvl" keep pop ;
       ( "script",
         None,
         Ops.Script
-          { script = Ops.File (path "s.svl"); files = []; json = false },
+          {
+            script = Ops.File (path "s.svl");
+            files = [];
+            json = false;
+            artifact_dir = None;
+          },
         0,
         "[ ok ]" );
+      (* artifact paths name the client's script directory, not the
+         daemon's scratch directory *)
+      ( "script --json",
+        None,
+        Ops.Script
+          {
+            script = Ops.File (path "s.svl");
+            files = [];
+            json = true;
+            artifact_dir = None;
+          },
+        0,
+        Printf.sprintf "%S" (path "min.aut") );
       ("version", None, Ops.Version { json = false }, 0, Proto.schema);
     ]
   in
